@@ -69,22 +69,81 @@ fn bench_engine_roundtrip(c: &mut Criterion) {
     g.finish();
 }
 
-/// Stealth cache lookup cost (the 98%-hit fast path).
+/// Indices drawn uniformly from `0..range` (splitmix64, fixed seed),
+/// precomputed so the timed loop only indexes a table.
+fn random_indices(range: u64, count: usize) -> Vec<u64> {
+    let mut state = 0x70_1e0u64;
+    (0..count)
+        .map(|_| {
+            state = state.wrapping_add(0x9e3779b97f4a7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+            (z ^ (z >> 31)) % range
+        })
+        .collect()
+}
+
+/// Stealth cache lookup cost with the 256-entry TLB extension full, so
+/// every case pays the real fully associative set scan and LRU update.
 fn bench_stealth_cache(c: &mut Criterion) {
-    use toleo_core::cache::StealthCache;
+    use toleo_core::cache::{StealthCache, StealthCacheConfig};
     use toleo_core::trip::TripFormat;
+    let tlb_entries = StealthCacheConfig::default().tlb_entries as u64;
+    let warm = || {
+        let mut sc = StealthCache::paper_default();
+        for page in 0..tlb_entries {
+            sc.access(page, TripFormat::Flat);
+        }
+        sc
+    };
     let mut g = c.benchmark_group("freshness/stealth_cache");
-    g.bench_function("hit", |b| {
-        let mut sc = StealthCache::paper_default();
-        sc.access(7, TripFormat::Flat);
-        b.iter(|| sc.access(7, TripFormat::Flat))
+    // The most recently used page: the fast path of a page-local stream.
+    g.bench_function("hit_mru", |b| {
+        let mut sc = warm();
+        let mru = tlb_entries - 1;
+        b.iter(|| sc.access(mru, TripFormat::Flat))
     });
-    g.bench_function("miss_stream", |b| {
-        let mut sc = StealthCache::paper_default();
-        let mut p = 0u64;
+    // A resident page at a random LRU depth.
+    g.bench_function("hit_random", |b| {
+        let mut sc = warm();
+        let pages = random_indices(tlb_entries, 4096);
+        let mut i = 0;
         b.iter(|| {
-            p += 1;
-            sc.access(p, TripFormat::Flat)
+            i = (i + 1) % pages.len();
+            sc.access(pages[i], TripFormat::Flat)
+        })
+    });
+    // A page never seen before: scans the full set, evicts the LRU page.
+    g.bench_function("miss_evict", |b| {
+        let mut sc = warm();
+        let mut page = tlb_entries;
+        b.iter(|| {
+            page += 1;
+            sc.access(page, TripFormat::Flat)
+        })
+    });
+    g.finish();
+}
+
+/// One simulated LLC access (scaled geometry) over twice its capacity, a
+/// third of them stores: hits, clean and dirty evictions mixed.
+fn bench_data_cache(c: &mut Criterion) {
+    use toleo_sim::cache::DataCache;
+    use toleo_sim::config::{Protection, SimConfig};
+    let l3 = SimConfig::scaled(Protection::Toleo).l3;
+    let blocks = 2 * (l3.capacity / 64) as u64;
+    let mut g = c.benchmark_group("freshness/data_cache");
+    g.bench_function("llc_access", |b| {
+        let mut dc = DataCache::new(l3);
+        let addrs = random_indices(blocks, 1 << 16);
+        for &block in &addrs {
+            dc.access(block * 64, false);
+        }
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % addrs.len();
+            dc.access(addrs[i] * 64, i % 3 == 0)
         })
     });
     g.finish();
@@ -94,6 +153,7 @@ criterion_group!(
     benches,
     bench_version_update,
     bench_engine_roundtrip,
-    bench_stealth_cache
+    bench_stealth_cache,
+    bench_data_cache
 );
 criterion_main!(benches);

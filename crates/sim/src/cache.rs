@@ -2,11 +2,12 @@
 //!
 //! Unlike the metadata directories in `toleo-core::cache`, these caches
 //! track dirty state so LLC evictions generate the protected writebacks
-//! that drive version UPDATE traffic.
-
-// audit: allow-file(panic, simulator invariants: a panic aborts the offline run with a trace, no production path)
+//! that drive version UPDATE traffic. They keep the same in-place exact LRU
+//! order (MRU first, LRU last, victim = last way) through the same
+//! [`lru_promote`]/[`lru_fill`] routines.
 
 use crate::config::CacheConfig;
+use toleo_core::cache::{lru_fill, lru_promote};
 
 /// One cache way entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,9 +57,8 @@ impl DataCache {
         let ways = self.ways;
         let set = &mut self.sets[idx];
         if let Some(pos) = set.iter().position(|l| l.tag == block) {
-            let mut line = set.remove(pos);
-            line.dirty |= write;
-            set.insert(0, line);
+            set[pos].dirty |= write;
+            lru_promote(set, pos);
             self.hits += 1;
             return AccessResult {
                 hit: true,
@@ -66,23 +66,17 @@ impl DataCache {
             };
         }
         self.misses += 1;
-        set.insert(
-            0,
+        let victim = lru_fill(
+            set,
+            ways,
             Line {
                 tag: block,
                 dirty: write,
             },
         );
-        let mut writeback = None;
-        if set.len() > ways {
-            let victim = set.pop().expect("overfull set");
-            if victim.dirty {
-                writeback = Some(victim.tag * 64);
-            }
-        }
         AccessResult {
             hit: false,
-            writeback,
+            writeback: victim.filter(|v| v.dirty).map(|v| v.tag * 64),
         }
     }
 
@@ -287,6 +281,99 @@ mod tests {
         d.sort();
         assert_eq!(d, vec![0, 64]);
         assert!(c.drain_dirty().is_empty(), "drain clears dirty bits");
+    }
+
+    /// Reference write-back LRU model: per-set `Vec` of (block, dirty), most
+    /// recent first, updated by remove / `insert(0)` / pop.
+    struct RefDataCache {
+        sets: Vec<Vec<(u64, bool)>>,
+        ways: usize,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl RefDataCache {
+        fn access(&mut self, addr: u64, write: bool) -> AccessResult {
+            let block = addr / 64;
+            let n = self.sets.len() as u64;
+            let set = &mut self.sets[(block % n) as usize];
+            if let Some(pos) = set.iter().position(|l| l.0 == block) {
+                let (tag, dirty) = set.remove(pos);
+                set.insert(0, (tag, dirty | write));
+                self.hits += 1;
+                return AccessResult {
+                    hit: true,
+                    writeback: None,
+                };
+            }
+            self.misses += 1;
+            set.insert(0, (block, write));
+            let mut writeback = None;
+            if set.len() > self.ways {
+                if let Some((tag, true)) = set.pop() {
+                    writeback = Some(tag * 64);
+                }
+            }
+            AccessResult {
+                hit: false,
+                writeback,
+            }
+        }
+
+        fn drain_dirty(&mut self) -> Vec<u64> {
+            let mut out = Vec::new();
+            for line in self.sets.iter_mut().flatten() {
+                if line.1 {
+                    out.push(line.0 * 64);
+                    line.1 = false;
+                }
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn in_place_lru_matches_reference_model() {
+        for (sets, ways) in [(1usize, 256usize), (32, 16), (4, 2), (1, 1)] {
+            let mut c = tiny_cache(sets * ways, ways);
+            let mut r = RefDataCache {
+                sets: vec![Vec::new(); sets],
+                ways,
+                hits: 0,
+                misses: 0,
+            };
+            let blocks = (2 * sets * ways) as u64 + 1;
+            let mut rng = 0xd47a ^ (sets * 1000 + ways) as u64;
+            let mut next = || {
+                rng = rng.wrapping_add(0x9e3779b97f4a7c15);
+                let mut z = rng;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+                z ^ (z >> 31)
+            };
+            for op in 0..100_000 {
+                let roll = next();
+                // Any byte of the block: the cache works at block grain.
+                let addr = (next() % blocks) * 64 + roll % 64;
+                let ctx = format!("{sets}x{ways} op {op} addr {addr:#x}");
+                if roll % 1000 == 0 {
+                    assert_eq!(c.drain_dirty(), r.drain_dirty(), "{ctx}: drain order");
+                } else {
+                    let write = roll % 3 == 0;
+                    assert_eq!(c.access(addr, write), r.access(addr, write), "{ctx}");
+                }
+                assert_eq!((c.hits(), c.misses()), (r.hits, r.misses), "{ctx}");
+                let idx = c.index(addr / 64);
+                let order: Vec<(u64, bool)> =
+                    c.sets[idx].iter().map(|l| (l.tag, l.dirty)).collect();
+                assert_eq!(order, r.sets[idx], "{ctx}: LRU order");
+            }
+            assert_eq!(
+                c.drain_dirty(),
+                r.drain_dirty(),
+                "{sets}x{ways} final drain"
+            );
+        }
     }
 
     #[test]

@@ -16,6 +16,13 @@
 //! These caches are *performance* structures: the authoritative version
 //! state lives in the Toleo device. Hits avoid CXL round trips; misses are
 //! counted as device traffic by the protection engine and the simulator.
+//!
+//! Every set keeps exact LRU order in place: entries are stored most recent
+//! first, so way 0 is the MRU entry, the last way is the LRU entry, and the
+//! last way of a full set is the victim of the next fill. [`lru_promote`] and
+//! [`lru_fill`] maintain that order by rotating a prefix of the set right by
+//! one, instead of removing and re-inserting the entry; an MRU hit moves
+//! nothing. The simulator's data caches share the same two routines.
 
 // audit: allow-file(indexing, set indices are reduced by set_index modulo the set count)
 
@@ -48,6 +55,33 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
+}
+
+/// Moves the resident entry at `pos` to the front of an MRU-first set,
+/// shifting the entries ahead of it back by one. A hit at `pos == 0` (the
+/// MRU entry) moves nothing.
+///
+/// # Panics
+///
+/// Panics if `pos` is out of bounds.
+#[inline]
+pub fn lru_promote<T>(set: &mut [T], pos: usize) {
+    set[..=pos].rotate_right(1);
+}
+
+/// Fills `entry` into an MRU-first set of at most `ways` entries (`ways >=
+/// 1`) as its new MRU entry. When the set is full, the LRU entry (the last
+/// way) is overwritten and returned as the victim.
+#[inline]
+pub fn lru_fill<T>(set: &mut Vec<T>, ways: usize, entry: T) -> Option<T> {
+    let victim = if set.len() < ways {
+        set.push(entry);
+        None
+    } else {
+        set.last_mut().map(|last| std::mem::replace(last, entry))
+    };
+    set.rotate_right(1);
+    victim
 }
 
 /// A generic set-associative cache directory with LRU replacement. Tracks
@@ -86,9 +120,9 @@ impl SetAssocCache {
     }
 
     /// Looks up `key`, updating LRU and filling on miss. Returns `true` on
-    /// hit. The evicted victim (if any) is returned via `Err`-free side
-    /// effect — use [`access_with_victim`](Self::access_with_victim) when
-    /// the caller needs it.
+    /// hit. The key evicted by a fill is dropped; use
+    /// [`access_with_victim`](Self::access_with_victim) when the caller
+    /// needs it.
     pub fn access(&mut self, key: u64) -> bool {
         self.access_with_victim(key).0
     }
@@ -98,19 +132,12 @@ impl SetAssocCache {
         let idx = self.set_index(key);
         let set = &mut self.sets[idx];
         if let Some(pos) = set.iter().position(|&k| k == key) {
-            let k = set.remove(pos);
-            set.insert(0, k);
+            lru_promote(set, pos);
             self.stats.hits += 1;
             return (true, None);
         }
         self.stats.misses += 1;
-        set.insert(0, key);
-        let victim = if set.len() > self.ways {
-            set.pop()
-        } else {
-            None
-        };
-        (false, victim)
+        (false, lru_fill(set, self.ways, key))
     }
 
     /// Probes without filling or touching LRU/stats.
@@ -322,6 +349,67 @@ mod tests {
         c.invalidate(10);
         assert!(!c.contains(10));
         assert!(!c.access(10), "re-access misses after invalidate");
+    }
+
+    /// Reference LRU model: per-set `Vec`, most recent first, updated by
+    /// remove / `insert(0)` / pop / retain.
+    struct RefCache {
+        sets: Vec<Vec<u64>>,
+        ways: usize,
+        stats: CacheStats,
+    }
+
+    impl RefCache {
+        fn access(&mut self, idx: usize, key: u64) -> (bool, Option<u64>) {
+            let set = &mut self.sets[idx];
+            if let Some(pos) = set.iter().position(|&k| k == key) {
+                let k = set.remove(pos);
+                set.insert(0, k);
+                self.stats.hits += 1;
+                return (true, None);
+            }
+            self.stats.misses += 1;
+            set.insert(0, key);
+            let victim = if set.len() > self.ways {
+                set.pop()
+            } else {
+                None
+            };
+            (false, victim)
+        }
+    }
+
+    #[test]
+    fn in_place_lru_matches_reference_model() {
+        for (num_sets, ways) in [(1, 256), (32, 16), (4, 2), (1, 1)] {
+            let mut c = SetAssocCache::new(num_sets, ways);
+            let mut r = RefCache {
+                sets: vec![Vec::new(); num_sets],
+                ways,
+                stats: CacheStats::default(),
+            };
+            // Twice the capacity of distinct keys: plenty of hits at every
+            // stack depth and plenty of evictions.
+            let key_space = (2 * num_sets * ways) as u64 + 1;
+            let seed = ((num_sets * 1000 + ways) as u64) << 32;
+            for op in 0..100_000u64 {
+                let roll = crate::fault::splitmix64(seed + 2 * op);
+                let key = crate::fault::splitmix64(seed + 2 * op + 1) % key_space;
+                let idx = c.set_index(key);
+                let ctx = format!("{num_sets}x{ways} op {op} key {key}");
+                match roll % 10 {
+                    0 => {
+                        c.invalidate(key);
+                        r.sets[idx].retain(|&k| k != key);
+                    }
+                    1 => assert_eq!(c.contains(key), r.sets[idx].contains(&key), "{ctx}"),
+                    _ => assert_eq!(c.access_with_victim(key), r.access(idx, key), "{ctx}"),
+                }
+                assert_eq!(c.sets[idx], r.sets[idx], "{ctx}: LRU order");
+                assert_eq!(c.len(), r.sets.iter().map(Vec::len).sum::<usize>(), "{ctx}");
+                assert_eq!(c.stats(), r.stats, "{ctx}");
+            }
+        }
     }
 
     #[test]
