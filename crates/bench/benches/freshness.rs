@@ -85,7 +85,7 @@ fn random_indices(range: u64, count: usize) -> Vec<u64> {
 }
 
 /// Stealth cache lookup cost with the 256-entry TLB extension full, so
-/// every case pays the real fully associative set scan and LRU update.
+/// every case works against a full fully associative directory.
 fn bench_stealth_cache(c: &mut Criterion) {
     use toleo_core::cache::{StealthCache, StealthCacheConfig};
     use toleo_core::trip::TripFormat;
@@ -114,7 +114,7 @@ fn bench_stealth_cache(c: &mut Criterion) {
             sc.access(pages[i], TripFormat::Flat)
         })
     });
-    // A page never seen before: scans the full set, evicts the LRU page.
+    // A page never seen before: misses and evicts the LRU page.
     g.bench_function("miss_evict", |b| {
         let mut sc = warm();
         let mut page = tlb_entries;

@@ -1,7 +1,9 @@
 //! Criterion benchmarks for the sharded engine's batch paths:
-//! `write_batch`/`read_batch` fan a batch out across the 8 shards' op
-//! queues on scoped worker threads, versus the same ops routed one at a
-//! time through the thread-safe handle.
+//! `write_batch`/`read_batch` split a batch into the 8 shards' op queues
+//! and drain them on the calling thread, versus the same ops routed one
+//! at a time through the thread-safe handle. `read_batch_2_shards_2` is
+//! the short batch a mixed trace's homogeneous runs produce, where any
+//! fixed per-call cost dominates.
 
 // audit: allow-file(panic, bench setup: aborting on a broken harness is the right failure mode)
 
@@ -42,6 +44,18 @@ fn bench_sharded(c: &mut Criterion) {
                 .expect("protected read batch")
         })
     });
+
+    // Two ops on pages 0 and 1, which live on shards 0 and 1.
+    let short = [addrs[0], addrs[1]];
+    g.throughput(Throughput::Elements(short.len() as u64));
+    g.bench_function("read_batch_2_shards_2", |b| {
+        b.iter(|| {
+            engine
+                .read_batch(std::hint::black_box(&short))
+                .expect("protected read batch")
+        })
+    });
+    g.throughput(Throughput::Elements(BATCH as u64));
 
     let engine = ShardedEngine::new(ToleoConfig::small(), SHARDS, [0x42u8; 48]).unwrap();
     g.bench_function("single_op_routing_256", |b| {

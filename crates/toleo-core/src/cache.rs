@@ -17,14 +17,17 @@
 //! state lives in the Toleo device. Hits avoid CXL round trips; misses are
 //! counted as device traffic by the protection engine and the simulator.
 //!
-//! Every set keeps exact LRU order in place: entries are stored most recent
-//! first, so way 0 is the MRU entry, the last way is the LRU entry, and the
-//! last way of a full set is the victim of the next fill. [`lru_promote`] and
-//! [`lru_fill`] maintain that order by rotating a prefix of the set right by
-//! one, instead of removing and re-inserting the entry; an MRU hit moves
-//! nothing. The simulator's data caches share the same two routines.
+//! Every set of a [`SetAssocCache`] keeps exact LRU order in place: entries
+//! are stored most recent first, so way 0 is the MRU entry, the last way is
+//! the LRU entry, and the last way of a full set is the victim of the next
+//! fill. [`lru_promote`] and [`lru_fill`] maintain that order by rotating a
+//! prefix of the set right by one, instead of removing and re-inserting the
+//! entry; an MRU hit moves nothing. The simulator's data caches share the
+//! same two routines. That suits 16-way sets; the 256-way TLB extension
+//! would pay a 256-tag scan and a 2 KB rotate per miss, so it has its own
+//! [`FullyAssocLru`] with O(1) lookup, promotion and eviction.
 
-// audit: allow-file(indexing, set indices are reduced by set_index modulo the set count)
+// audit: allow-file(indexing, set indices are reduced by set_index modulo the set count; FullyAssocLru way and slot indices come from its own links and masked probes)
 
 use crate::trip::TripFormat;
 use serde::{Deserialize, Serialize};
@@ -109,11 +112,6 @@ impl SetAssocCache {
         }
     }
 
-    /// A fully associative cache with `entries` entries.
-    pub fn fully_associative(entries: usize) -> Self {
-        Self::new(1, entries)
-    }
-
     fn set_index(&self, key: u64) -> usize {
         // Multiplicative hash spreads page-grain keys across sets.
         (key.wrapping_mul(0x9e3779b97f4a7c15) >> 32) as usize % self.sets.len()
@@ -167,12 +165,216 @@ impl SetAssocCache {
     }
 }
 
+/// "No way": the end of a recency list, or an empty index slot.
+const NIL: u32 = u32::MAX;
+
+/// A fully associative tag directory with exact LRU replacement: the L2-TLB
+/// stealth extension. The hardware compares every tag at once (§4.4); this
+/// model finds a tag through an open-addressed tag → way index (linear
+/// probing, at most an eighth full, backward-shift deletion so no tombstones
+/// build up) and keeps recency in an intrusive doubly linked list over the
+/// way array, MRU at `head` and the LRU victim at `tail`. Lookup, promotion
+/// and eviction are O(1) whatever the way count.
+///
+/// Every hit, miss, victim, [`len`](Self::len) and
+/// [`contains`](Self::contains) result equals that of
+/// [`SetAssocCache::new(1, ways)`](SetAssocCache::new).
+#[derive(Debug, Clone)]
+pub struct FullyAssocLru {
+    /// Resident tag of each way (meaningful while the way is on the list).
+    tags: Vec<u64>,
+    /// Recency links of each way: toward the MRU end, toward the LRU end.
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    head: u32,
+    tail: u32,
+    /// Ways holding no tag: taken by fills before any eviction, returned
+    /// by [`invalidate`](Self::invalidate).
+    free: Vec<u32>,
+    /// Tag → way index; a power-of-two table of way numbers, `NIL` = empty.
+    index: Vec<u32>,
+    /// `64 - log2(index.len())`: the Fibonacci-hash shift.
+    shift: u32,
+    stats: CacheStats,
+}
+
+impl FullyAssocLru {
+    /// Creates a directory of `ways` entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways == 0` or `ways >= u32::MAX`.
+    pub fn new(ways: usize) -> Self {
+        assert!(
+            ways > 0 && ways < NIL as usize,
+            "cache geometry must be non-zero and fit u32 way numbers"
+        );
+        // Eight slots per way keep probe runs near one slot long: a
+        // random-page miss measured about a third of its cost at two
+        // slots per way (EXPERIMENTS.md, "TLB microbenchmark").
+        let slots = (8 * ways).next_power_of_two();
+        FullyAssocLru {
+            tags: vec![0; ways],
+            prev: vec![NIL; ways],
+            next: vec![NIL; ways],
+            head: NIL,
+            tail: NIL,
+            free: (0..ways as u32).rev().collect(),
+            index: vec![NIL; slots],
+            shift: 64 - slots.trailing_zeros(),
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// The index slot where `tag`'s probe starts.
+    fn home(&self, tag: u64) -> usize {
+        (tag.wrapping_mul(0x9e3779b97f4a7c15) >> self.shift) as usize
+    }
+
+    /// Probes the index for `tag`: the slot holding it (`true`), or the
+    /// empty slot that ended the probe (`false`). Terminates because the
+    /// index always has empty slots.
+    fn probe(&self, tag: u64) -> (usize, bool) {
+        let mask = self.index.len() - 1;
+        let mut slot = self.home(tag);
+        loop {
+            let way = self.index[slot];
+            if way == NIL {
+                return (slot, false);
+            }
+            if self.tags[way as usize] == tag {
+                return (slot, true);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Empties index slot `hole`, moving later entries of its probe run
+    /// back into the gap when the gap lies on their own probe path, so
+    /// every remaining tag is still found by [`probe`](Self::probe).
+    fn remove_slot(&mut self, mut hole: usize) {
+        let mask = self.index.len() - 1;
+        let mut slot = hole;
+        loop {
+            slot = (slot + 1) & mask;
+            let way = self.index[slot];
+            if way == NIL {
+                break;
+            }
+            let home = self.home(self.tags[way as usize]);
+            if (slot.wrapping_sub(home) & mask) >= (slot.wrapping_sub(hole) & mask) {
+                self.index[hole] = way;
+                hole = slot;
+            }
+        }
+        self.index[hole] = NIL;
+    }
+
+    fn unlink(&mut self, way: u32) {
+        let (prev, next) = (self.prev[way as usize], self.next[way as usize]);
+        if prev == NIL {
+            self.head = next;
+        } else {
+            self.next[prev as usize] = next;
+        }
+        if next == NIL {
+            self.tail = prev;
+        } else {
+            self.prev[next as usize] = prev;
+        }
+    }
+
+    fn push_front(&mut self, way: u32) {
+        self.prev[way as usize] = NIL;
+        self.next[way as usize] = self.head;
+        if self.head == NIL {
+            self.tail = way;
+        } else {
+            self.prev[self.head as usize] = way;
+        }
+        self.head = way;
+    }
+
+    /// Looks up `tag`, updating LRU and filling on miss. Returns `true` on
+    /// hit.
+    pub fn access(&mut self, tag: u64) -> bool {
+        self.access_with_victim(tag).0
+    }
+
+    /// Like [`access`](Self::access) but also returns the evicted tag.
+    pub fn access_with_victim(&mut self, tag: u64) -> (bool, Option<u64>) {
+        // MRU fast path: a page-local stream hits the head way over and
+        // over, and that hit moves nothing, so skip the hash.
+        if self.tags.get(self.head as usize) == Some(&tag) {
+            self.stats.hits += 1;
+            return (true, None);
+        }
+        let (slot, found) = self.probe(tag);
+        if found {
+            let way = self.index[slot];
+            self.unlink(way);
+            self.push_front(way);
+            self.stats.hits += 1;
+            return (true, None);
+        }
+        self.stats.misses += 1;
+        let (way, slot, victim) = match self.free.pop() {
+            Some(way) => (way, slot, None),
+            None => {
+                let way = self.tail;
+                let old = self.tags[way as usize];
+                let (victim_slot, _) = self.probe(old);
+                self.remove_slot(victim_slot);
+                self.unlink(way);
+                // The deletion may have moved entries on `tag`'s probe
+                // path: probe again for its empty slot.
+                (way, self.probe(tag).0, Some(old))
+            }
+        };
+        self.tags[way as usize] = tag;
+        self.index[slot] = way;
+        self.push_front(way);
+        (false, victim)
+    }
+
+    /// Probes without filling or touching LRU/stats.
+    pub fn contains(&self, tag: u64) -> bool {
+        self.probe(tag).1
+    }
+
+    /// Removes `tag` if present, freeing its way for the next fill.
+    pub fn invalidate(&mut self, tag: u64) {
+        let (slot, found) = self.probe(tag);
+        if found {
+            let way = self.index[slot];
+            self.remove_slot(slot);
+            self.unlink(way);
+            self.free.push(way);
+        }
+    }
+
+    /// Access statistics.
+    pub fn stats(&self) -> CacheStats {
+        self.stats
+    }
+
+    /// Number of resident entries.
+    pub fn len(&self) -> usize {
+        self.tags.len() - self.free.len()
+    }
+
+    /// Whether the directory is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 /// The combined host-side stealth version cache: TLB extension + overflow
 /// buffer, with the paper's geometry by default.
 #[derive(Debug, Clone)]
 pub struct StealthCache {
     /// Flat entries ride in the L2 TLB extension, keyed by page number.
-    tlb_ext: SetAssocCache,
+    tlb_ext: FullyAssocLru,
     /// Uneven/full side entries in 56-byte blocks, keyed by
     /// `page * 4 + sub-block`.
     overflow: SetAssocCache,
@@ -204,7 +406,7 @@ impl StealthCache {
     /// Creates a stealth cache with the given geometry.
     pub fn new(cfg: StealthCacheConfig) -> Self {
         StealthCache {
-            tlb_ext: SetAssocCache::fully_associative(cfg.tlb_entries),
+            tlb_ext: FullyAssocLru::new(cfg.tlb_entries),
             overflow: SetAssocCache::new(
                 (cfg.overflow_blocks / cfg.overflow_ways).max(1),
                 cfg.overflow_ways,
@@ -312,7 +514,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest() {
-        let mut c = SetAssocCache::fully_associative(2);
+        let mut c = SetAssocCache::new(1, 2);
         assert!(!c.access(1));
         assert!(!c.access(2));
         assert!(c.access(1)); // 1 now MRU
@@ -325,7 +527,7 @@ mod tests {
 
     #[test]
     fn stats_track_hits_and_misses() {
-        let mut c = SetAssocCache::fully_associative(4);
+        let mut c = SetAssocCache::new(1, 4);
         c.access(1);
         c.access(1);
         c.access(2);
@@ -337,8 +539,8 @@ mod tests {
 
     #[test]
     fn empty_cache_hit_rate_is_zero() {
-        assert_eq!(SetAssocCache::fully_associative(4).stats().hit_rate(), 0.0);
-        assert!(SetAssocCache::fully_associative(4).is_empty());
+        assert_eq!(SetAssocCache::new(1, 4).stats().hit_rate(), 0.0);
+        assert!(SetAssocCache::new(1, 4).is_empty());
     }
 
     #[test]
@@ -408,6 +610,120 @@ mod tests {
                 assert_eq!(c.sets[idx], r.sets[idx], "{ctx}: LRU order");
                 assert_eq!(c.len(), r.sets.iter().map(Vec::len).sum::<usize>(), "{ctx}");
                 assert_eq!(c.stats(), r.stats, "{ctx}");
+            }
+        }
+    }
+
+    /// Reference model for [`FullyAssocLru`]: one set of a
+    /// [`SetAssocCache`], the structure the TLB extension used to be.
+    #[test]
+    fn fully_assoc_lru_matches_set_assoc_reference() {
+        for ways in [256usize, 4, 1] {
+            // Just above capacity (hits at every recency depth, steady
+            // evictions) and far above it (mostly misses).
+            for key_space in [ways as u64 + ways as u64 / 4 + 1, 64 * ways as u64 + 7] {
+                let mut c = FullyAssocLru::new(ways);
+                let mut r = SetAssocCache::new(1, ways);
+                let seed = (ways as u64) << 40 | key_space;
+                let mut last = 0u64;
+                for op in 0..200_000u64 {
+                    let roll = crate::fault::splitmix64(seed + 2 * op) % 20;
+                    // One op in five repeats the previous tag (the MRU
+                    // fast path); the rest draw a fresh one.
+                    let tag = if roll < 4 {
+                        last
+                    } else {
+                        crate::fault::splitmix64(seed + 2 * op + 1) % key_space
+                    };
+                    last = tag;
+                    let ctx = format!("{ways} ways, {key_space} tags, op {op}, tag {tag}");
+                    match roll {
+                        4 | 5 => {
+                            c.invalidate(tag);
+                            r.invalidate(tag);
+                        }
+                        6 => assert_eq!(c.contains(tag), r.contains(tag), "{ctx}"),
+                        _ => assert_eq!(
+                            c.access_with_victim(tag),
+                            r.access_with_victim(tag),
+                            "{ctx}"
+                        ),
+                    }
+                    assert_eq!(c.contains(tag), r.contains(tag), "{ctx}");
+                    assert_eq!(c.len(), r.len(), "{ctx}");
+                    assert_eq!(c.is_empty(), r.is_empty(), "{ctx}");
+                    assert_eq!(c.stats(), r.stats(), "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-zero")]
+    fn zero_way_fully_assoc_lru_panics() {
+        FullyAssocLru::new(0);
+    }
+
+    /// The stealth cache with its TLB extension on a plain 256-way
+    /// [`SetAssocCache`]: the reference for [`StealthCache`].
+    struct RefStealth {
+        tlb: SetAssocCache,
+        overflow: SetAssocCache,
+        combined: CacheStats,
+    }
+
+    impl RefStealth {
+        fn access(&mut self, page: u64, format: TripFormat) -> bool {
+            let flat_hit = self.tlb.access(page);
+            let sub_blocks = match format {
+                TripFormat::Flat => 0,
+                TripFormat::Uneven => 1,
+                TripFormat::Full => 4,
+            };
+            let mut side_hit = true;
+            for sub in 0..sub_blocks {
+                side_hit &= self.overflow.access(page * 4 + sub);
+            }
+            let hit = flat_hit && side_hit;
+            if hit {
+                self.combined.hits += 1;
+            } else {
+                self.combined.misses += 1;
+            }
+            hit
+        }
+    }
+
+    #[test]
+    fn stealth_cache_matches_set_assoc_tlb_reference() {
+        for pages in [300u64, 20_000] {
+            let mut sc = StealthCache::paper_default();
+            let cfg = StealthCacheConfig::default();
+            let mut r = RefStealth {
+                tlb: SetAssocCache::new(1, cfg.tlb_entries),
+                overflow: SetAssocCache::new(
+                    cfg.overflow_blocks / cfg.overflow_ways,
+                    cfg.overflow_ways,
+                ),
+                combined: CacheStats::default(),
+            };
+            let formats = [TripFormat::Flat, TripFormat::Uneven, TripFormat::Full];
+            for op in 0..100_000u64 {
+                let roll = crate::fault::splitmix64((pages << 32) + 2 * op);
+                let page = crate::fault::splitmix64((pages << 32) + 2 * op + 1) % pages;
+                if roll.is_multiple_of(16) {
+                    sc.invalidate_page(page);
+                    r.tlb.invalidate(page);
+                    for sub in 0..4 {
+                        r.overflow.invalidate(page * 4 + sub);
+                    }
+                } else {
+                    let format = formats[(roll / 16 % 3) as usize];
+                    assert_eq!(sc.access(page, format), r.access(page, format), "op {op}");
+                }
+                assert_eq!(sc.stats(), r.combined, "op {op}");
+                assert_eq!(sc.tlb_stats(), r.tlb.stats(), "op {op}");
+                assert_eq!(sc.overflow_stats(), r.overflow.stats(), "op {op}");
             }
         }
     }

@@ -8,14 +8,16 @@
 //! schedule derived per-shard from the root key material — so shards share
 //! **no** mutable state except the kill/quarantine flags. That makes the
 //! decomposition embarrassingly parallel: on a host with enough cores,
-//! throughput scales with the shard-worker count until memory bandwidth
+//! throughput scales with the caller-thread count until memory bandwidth
 //! saturates.
 //!
 //! [`ShardedEngine`] is the thread-safe handle. Single operations route to
 //! the owning shard under its mutex; [`read_batch`](ShardedEngine::read_batch)
 //! and [`write_batch`](ShardedEngine::write_batch) split a batch into
-//! per-shard op queues and drain them with [`std::thread::scope`] workers,
-//! one per occupied shard.
+//! per-shard op queues and drain them on the calling thread, one shard
+//! lock at a time. Parallelism comes from the callers: threads sharing
+//! the handle drive different shards concurrently, and a batch never
+//! pays for spawning threads of its own.
 //!
 //! Failure containment is an escalation ladder:
 //!
@@ -26,7 +28,7 @@
 //!   it refuse with [`ToleoError::ShardQuarantined`] carrying that frozen
 //!   snapshot. Healthy shards keep serving — one hostile tenant cannot
 //!   deny service to every other tenant in the pool. In-flight batch
-//!   workers on healthy shards observe the quarantine within one
+//!   drains on healthy shards observe the quarantine within one
 //!   kill-poll interval and simply keep draining their own queues.
 //! * **Recover** — a quarantined shard can be scrubbed, re-keyed under a
 //!   fresh key generation, and re-admitted to service by
@@ -37,7 +39,7 @@
 //!   unreachable after the [`DeviceChannel`](crate::channel::DeviceChannel)
 //!   retry budget), or a shard tampered *again* after exhausting its
 //!   per-shard recovery budget, means containment is over: the global
-//!   flag flips, in-flight batch workers abort, and every peer shard is
+//!   flag flips, in-flight batch drains abort, and every peer shard is
 //!   force-killed so each is individually inert thereafter.
 
 // audit: allow-file(indexing, shard and queue indices come from shard_of_addr and the queue builder, bounded by the shard count)
@@ -49,6 +51,7 @@ use crate::engine::{Block, EngineStats, KillSnapshot, ProtectionEngine, Untruste
 use crate::error::{BatchError, Result, ToleoError};
 use crate::fault::FaultPlanConfig;
 use crate::layout;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use toleo_crypto::aes::Aes128;
@@ -59,19 +62,24 @@ pub use recovery::{RecoveryOutcome, RecoveryStats, DEFAULT_RECOVERY_BUDGET};
 
 use recovery::RecoveryPlane;
 
-// The shards are driven from scoped worker threads; this fails to compile
-// if `ProtectionEngine` ever grows a non-Send member.
+// `ShardedEngine` is shared across caller threads, each of which may lock
+// and drive any shard; this fails to compile if `ProtectionEngine` ever
+// grows a non-Send member.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<ProtectionEngine>();
 };
+
+/// What a batch drain's per-chunk executor returns: one payload per op, or
+/// the chunk-local index of the failing op with its error.
+type ChunkResult<T> = std::result::Result<Vec<T>, (usize, ToleoError)>;
 
 /// Upper bound on the shard count: one shard per page-interleave slot of
 /// the smallest supported pool would be absurd; 4096 comfortably covers
 /// any plausible worker fleet while keeping the routing modulus cheap.
 pub const MAX_SHARDS: usize = 4096;
 
-/// Default ops a batch worker hands to the engine's batched entry points
+/// Default ops a batch drain hands to the engine's batched entry points
 /// between kill/quarantine polls. Large enough that run-grouping and
 /// pipelined tweak precompute inside [`ProtectionEngine::read_batch`] pay
 /// off; small enough that a peer shard's failure is still observed
@@ -80,7 +88,7 @@ pub const MAX_SHARDS: usize = 4096;
 pub const DEFAULT_KILL_POLL_OPS: usize = 64;
 
 /// Lock-free per-shard quarantine state: one bit per shard, plus a
-/// monotonically increasing epoch that batch workers poll to learn that
+/// monotonically increasing epoch that batch drains poll to learn that
 /// *some* peer's quarantine state changed without scanning the bitmap.
 /// Marking is a `fetch_or`, so the shard that detects tampering can flip
 /// its own bit while still holding its engine lock — no lock ordering
@@ -90,7 +98,7 @@ pub const DEFAULT_KILL_POLL_OPS: usize = 64;
 /// are `guard`/`epoch` roles, so writers publish with the release half
 /// of an `AcqRel` RMW and pollers observe with `Acquire` loads — the
 /// epoch bump that follows a bit flip is what carries the bit to a
-/// worker that only polls the epoch. Nothing here needs the single
+/// drain that only polls the epoch. Nothing here needs the single
 /// total order `SeqCst` buys; `toleo-model` explores the handshake's
 /// interleavings to back that claim.
 ///
@@ -134,7 +142,7 @@ impl QuarantineMap {
 
     /// Clears `shard`'s bit after a completed recovery; returns `true` if
     /// it was set. Bumps the epoch just like [`mark`](Self::mark), so
-    /// in-flight batch workers observe the re-admission at their next
+    /// in-flight batch drains observe the re-admission at their next
     /// poll — the only thing peers ever see of a recovery.
     #[doc(hidden)]
     pub fn clear(&self, shard: usize) -> bool {
@@ -155,7 +163,7 @@ impl QuarantineMap {
         quarantine_word.load(Ordering::Acquire) & bit != 0
     }
 
-    /// Bumped on every new quarantine; workers poll it between chunks.
+    /// Bumped on every new quarantine; batch drains poll it between chunks.
     #[doc(hidden)]
     pub fn epoch(&self) -> u64 {
         let quarantine_epoch = &self.epoch;
@@ -173,7 +181,7 @@ impl QuarantineMap {
 
 /// Aggregated robustness telemetry for a sharded engine: what the device
 /// fault plane absorbed, what the quarantine layer contained, and how
-/// fast in-flight workers observed it. Feeds the bench `availability`
+/// fast in-flight batch drains observed it. Feeds the bench `availability`
 /// section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RobustnessStats {
@@ -191,7 +199,7 @@ pub struct RobustnessStats {
     /// quarantine — together with the current value, the detection-to-now
     /// op distance.
     pub ops_at_last_quarantine: u64,
-    /// Largest number of ops any in-flight batch worker executed between
+    /// Largest number of ops any in-flight batch drain executed between
     /// the poll that preceded a peer's quarantine and the poll that
     /// observed it — the realized detection latency, bounded by
     /// [`kill_poll_ops`](ShardedEngine::kill_poll_ops).
@@ -225,13 +233,13 @@ pub struct RobustnessStats {
 #[derive(Debug)]
 pub struct ShardedEngine {
     shards: Box<[Mutex<ProtectionEngine>]>,
-    /// Set only by the world-kill escalation (device unreachable, worker
-    /// panic); checked on every entry and between batch ops so workers
-    /// abort promptly.
+    /// Set only by the world-kill escalation (device unreachable, a panic
+    /// inside a batch drain); checked on every entry and between batch
+    /// chunks so batch drains abort promptly.
     killed: AtomicBool,
     /// Per-shard quarantine bitmap: tamper on shard *k* freezes only *k*.
     quarantine: QuarantineMap,
-    /// Ops between kill/quarantine polls in batch workers.
+    /// Ops between kill/quarantine polls in batch drains.
     kill_poll_ops: usize,
     /// Successful ops served (telemetry; see [`RobustnessStats`]).
     ops_served: AtomicU64,
@@ -323,12 +331,12 @@ impl ShardedEngine {
         self.shards.len()
     }
 
-    /// Ops a batch worker executes between kill/quarantine polls.
+    /// Ops a batch drain executes between kill/quarantine polls.
     pub fn kill_poll_ops(&self) -> usize {
         self.kill_poll_ops
     }
 
-    /// Sets the batch-worker poll interval (clamped to at least 1).
+    /// Sets the batch-drain poll interval (clamped to at least 1).
     /// Smaller values bound the latency until an in-flight batch observes
     /// a peer shard's quarantine or a world-kill, at the cost of more
     /// frequent polls and smaller run-grouped chunks; `&mut self` proves
@@ -350,11 +358,12 @@ impl ShardedEngine {
     }
 
     /// Whether the world-kill switch has engaged (device-level failure or
-    /// worker panic). Per-shard tamper detections quarantine instead; see
+    /// a panic inside a batch drain). Per-shard tamper detections
+    /// quarantine instead; see
     /// [`is_shard_quarantined`](Self::is_shard_quarantined).
     pub fn is_killed(&self) -> bool {
         // Acquire pairs with the Release stores in trip_kill and the
-        // batch workers: seeing the flag also sees the state that
+        // batch drains: seeing the flag also sees the state that
         // justified it. The flag only latches, so no total order is
         // needed (protocol role `flag` in AUDIT.json).
         self.killed.load(Ordering::Acquire)
@@ -521,14 +530,15 @@ impl ShardedEngine {
         })
     }
 
-    /// Writes a batch of blocks, fanned out across shards with one scoped
-    /// worker thread per occupied shard. Each worker drains its queue
-    /// through [`ProtectionEngine::write_batch`] in
+    /// Writes a batch of blocks. The batch is split into per-shard op
+    /// queues, which the calling thread drains in shard order, holding one
+    /// shard lock at a time, through [`ProtectionEngine::write_batch`] in
     /// [`kill_poll_ops`](Self::kill_poll_ops)-op chunks, polling the
     /// world-kill flag and the quarantine epoch between chunks. Within a
     /// shard, ops execute in batch order (so a later write to the same
-    /// address wins, exactly as in a sequential replay); across shards
-    /// there is no ordering, which is safe because shards share no state.
+    /// address wins, exactly as in a sequential replay); across shards the
+    /// drain order is immaterial because shards share no state. Batches
+    /// issued from different threads drain different shards in parallel.
     ///
     /// # Errors
     ///
@@ -538,18 +548,18 @@ impl ShardedEngine {
     /// [`ToleoError::DeviceUnavailable`]) anywhere in the batch always
     /// wins over benign failures (a security event must not be masked by
     /// a retryable error). A tamper detection quarantines only its shard:
-    /// workers on healthy shards drain their queues to completion around
-    /// the quarantined member.
+    /// the queues of healthy shards still drain to completion around the
+    /// quarantined member.
     pub fn write_batch(&self, ops: &[(u64, Block)]) -> Result<()> {
         self.write_batch_indexed(ops).map_err(|e| e.error)
     }
 
     /// [`write_batch`](Self::write_batch) variant that also reports the
     /// smallest failing batch index (security-relevant failures still
-    /// take precedence over earlier benign failures). Because shard
-    /// workers run concurrently, ops *after* the index on **other**
-    /// shards may have completed; on the failing op's own shard, ops
-    /// before it completed and ops after it were not attempted.
+    /// take precedence over earlier benign failures). Because queues drain
+    /// shard by shard rather than in batch order, ops *after* the index
+    /// on **other** shards may have completed; on the failing op's own
+    /// shard, ops before it completed and ops after it were not attempted.
     ///
     /// # Errors
     ///
@@ -561,7 +571,7 @@ impl ShardedEngine {
             (),
             Access::Write,
             |i| ops[i].0,
-            move |engine, chunk| {
+            |engine, chunk| {
                 scratch.clear();
                 scratch.extend(chunk.iter().map(|&i| ops[i]));
                 engine
@@ -573,11 +583,11 @@ impl ShardedEngine {
         .map(|_: Vec<()>| ())
     }
 
-    /// Reads a batch of blocks, fanned out across shards with one scoped
-    /// worker thread per occupied shard, each draining its queue through
-    /// [`ProtectionEngine::read_batch`] (run-grouped version fetches and
-    /// pipelined tweak precompute) in kill-polled chunks. Results are
-    /// returned in batch order.
+    /// Reads a batch of blocks, draining the per-shard queues on the
+    /// calling thread exactly as [`write_batch`](Self::write_batch) does,
+    /// each through [`ProtectionEngine::read_batch`] (run-grouped version
+    /// fetches and pipelined tweak precompute) in kill-polled chunks.
+    /// Results are returned in batch order.
     ///
     /// # Errors
     ///
@@ -589,7 +599,7 @@ impl ShardedEngine {
     }
 
     /// [`read_batch`](Self::read_batch) variant that also reports the
-    /// smallest failing batch index, with the same concurrent-completion
+    /// smallest failing batch index, with the same out-of-order completion
     /// caveat as [`write_batch_indexed`](Self::write_batch_indexed).
     ///
     /// # Errors
@@ -602,7 +612,7 @@ impl ShardedEngine {
             [0u8; CACHE_BLOCK_BYTES],
             Access::Read,
             |i| addrs[i],
-            move |engine, chunk| {
+            |engine, chunk| {
                 scratch.clear();
                 scratch.extend(chunk.iter().map(|&i| addrs[i]));
                 engine.read_batch(&scratch).map_err(|e| (e.index, e.error))
@@ -611,26 +621,19 @@ impl ShardedEngine {
     }
 
     /// Shared batch executor: partitions op indices `0..len` into
-    /// per-shard queues by `addr_of`, drains each queue on a scoped worker
-    /// under the shard lock via `exec_chunk` (which maps a chunk of op
-    /// indices through the engine's batched entry points and reports a
-    /// failure as its chunk-local index), and scatters per-op payloads
-    /// back into batch order (`fill` seeds the output vector). Returns the
+    /// per-shard queues by `addr_of`, drains each queue on the calling
+    /// thread (see [`drain_queue`](Self::drain_queue)), and scatters
+    /// per-op payloads back into batch order (`fill` seeds the output
+    /// vector, built only once every queue has drained). Returns the
     /// payload vector (unit-cost for writes), or the smallest failing
     /// batch index with its error.
-    fn run_batch<T: Clone + Send>(
+    fn run_batch<T: Clone>(
         &self,
         len: usize,
         fill: T,
         access: Access,
-        addr_of: impl Fn(usize) -> u64 + Sync,
-        exec_chunk: impl FnMut(
-                &mut ProtectionEngine,
-                &[usize],
-            ) -> std::result::Result<Vec<T>, (usize, ToleoError)>
-            + Clone
-            + Send
-            + Sync,
+        addr_of: impl Fn(usize) -> u64,
+        mut exec_chunk: impl FnMut(&mut ProtectionEngine, &[usize]) -> ChunkResult<T>,
     ) -> std::result::Result<Vec<T>, BatchError> {
         if len == 0 {
             return Ok(Vec::new());
@@ -641,178 +644,171 @@ impl ShardedEngine {
         for i in 0..len {
             queues[self.shard_of_addr(addr_of(i))].push(i);
         }
-        let poll_ops = self.kill_poll_ops;
 
-        type ShardOutcome<T> = std::result::Result<Vec<(usize, T)>, (usize, ToleoError)>;
-        let outcomes: Vec<ShardOutcome<T>> = std::thread::scope(|s| {
-            let handles: Vec<_> = queues
-                .iter()
-                .enumerate()
-                .filter(|(_, queue)| !queue.is_empty())
-                .map(|(shard, queue)| {
-                    let addr_of = &addr_of;
-                    let mut exec_chunk = exec_chunk.clone();
-                    let first = queue.first().copied().unwrap_or(0);
-                    let handle = s.spawn(move || -> ShardOutcome<T> {
-                        let mut engine = self.lock_shard(shard);
-                        if self.quarantine.is_quarantined(shard) {
-                            // This whole queue is addressed to a frozen
-                            // shard: refuse it with the forensic snapshot.
-                            return Err((
-                                first,
-                                Self::quarantine_refusal(shard, addr_of(first), &engine),
-                            ));
-                        }
-                        let mut done = Vec::with_capacity(queue.len());
-                        // Quarantine-epoch polling: healthy workers do NOT
-                        // abort when a peer is quarantined (that is the
-                        // whole point of containment) but they must
-                        // *observe* it within one poll interval — the lag
-                        // telemetry proves the bound.
-                        let mut epoch_seen = self.quarantine.epoch();
-                        let mut ops_since_poll = 0usize;
-                        for chunk in queue.chunks(poll_ops) {
-                            // A device-level failure on any shard trips the
-                            // world-kill while this queue was draining:
-                            // abort promptly. Acquire is the hot half of
-                            // the flag protocol — on x86 it costs nothing
-                            // over Relaxed, and on ARM it avoids the full
-                            // fence a SeqCst load would issue every chunk.
-                            if self.killed.load(Ordering::Acquire) {
-                                return Err((
-                                    chunk[0],
-                                    ToleoError::IntegrityViolation {
-                                        address: addr_of(chunk[0]),
-                                    },
-                                ));
-                            }
-                            let epoch_now = self.quarantine.epoch();
-                            if epoch_now != epoch_seen {
-                                epoch_seen = epoch_now;
-                                self.max_poll_lag_ops
-                                    .fetch_max(ops_since_poll as u64, Ordering::Relaxed);
-                            }
-                            // Recovery may have left lost-block markers on
-                            // this shard: a read chunk stops at the first
-                            // lost address (ops before it are served,
-                            // exactly as op-at-a-time) and a write chunk
-                            // clears the markers it repopulates.
-                            let mut chunk = chunk;
-                            let mut lost_hit: Option<usize> = None;
-                            if matches!(access, Access::Read) {
-                                if let Some(pos) = chunk
-                                    .iter()
-                                    .position(|&i| self.recovery.is_lost(shard, addr_of(i)))
-                                {
-                                    lost_hit = Some(chunk[pos]);
-                                    chunk = &chunk[..pos];
-                                }
-                            }
-                            if !chunk.is_empty() {
-                                match exec_chunk(&mut engine, chunk) {
-                                    Ok(values) => {
-                                        self.ops_served
-                                            .fetch_add(chunk.len() as u64, Ordering::Relaxed);
-                                        if matches!(access, Access::Write) {
-                                            for &i in chunk {
-                                                self.recovery.clear_lost(shard, addr_of(i));
-                                            }
-                                        }
-                                        done.extend(chunk.iter().copied().zip(values));
-                                        ops_since_poll = chunk.len();
-                                    }
-                                    Err((local, e)) => {
-                                        if engine.is_killed()
-                                            && !self.is_killed()
-                                            && self.escalate_after_kill(shard, &e)
-                                        {
-                                            // Only the flag here: trip_kill()
-                                            // locks every shard and we hold
-                                            // this one. The coordinator
-                                            // finishes the kill after join.
-                                            self.killed.store(true, Ordering::Release);
-                                        }
-                                        return Err((chunk[local], e));
-                                    }
-                                }
-                            }
-                            if let Some(index) = lost_hit {
-                                return Err((
-                                    index,
-                                    ToleoError::PageLost {
-                                        shard,
-                                        address: addr_of(index),
-                                    },
-                                ));
-                            }
-                        }
-                        // Tail poll: a quarantine landing during the final
-                        // chunk still gets its observation lag recorded.
-                        if self.quarantine.epoch() != epoch_seen {
-                            self.max_poll_lag_ops
-                                .fetch_max(ops_since_poll as u64, Ordering::Relaxed);
-                        }
-                        Ok(done)
-                    });
-                    (first, handle)
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(first, h)| match h.join() {
-                    Ok(outcome) => outcome,
-                    // A panicked worker is an engine bug, not tampering,
-                    // but the response is the same fail-closed one: kill
-                    // the world and fail the shard's whole queue rather
-                    // than silently dropping its ops.
-                    Err(_) => {
-                        self.killed.store(true, Ordering::Release);
-                        Err((
-                            first,
-                            ToleoError::IntegrityViolation {
-                                address: addr_of(first),
-                            },
-                        ))
-                    }
-                })
-                .collect()
-        });
-
-        let mut out = vec![fill; len];
+        let mut done: Vec<(usize, T)> = Vec::with_capacity(len);
         // Smallest-index failure, tracked separately per severity: a
         // security-relevant failure (tamper, quarantine, unreachable
         // device) must never be masked by a benign, retryable failure
         // (e.g. `DeviceFull`) that happens to sit earlier in the batch.
         let mut first_severe: Option<(usize, ToleoError)> = None;
         let mut first_other: Option<(usize, ToleoError)> = None;
-        for outcome in outcomes {
-            match outcome {
-                Ok(done) => {
-                    for (i, value) in done {
-                        out[i] = value;
-                    }
-                }
-                Err((i, e)) => {
-                    let slot = if error_is_severe(&e) {
-                        &mut first_severe
-                    } else {
-                        &mut first_other
-                    };
-                    if slot.as_ref().is_none_or(|(fi, _)| i < *fi) {
-                        *slot = Some((i, e));
-                    }
+        for (shard, queue) in queues.iter().enumerate() {
+            let Some(&first) = queue.first() else {
+                continue;
+            };
+            let drained = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                self.drain_queue(shard, queue, access, &addr_of, &mut exec_chunk, &mut done)
+            }))
+            .unwrap_or_else(|_| {
+                // A panicking drain is an engine bug, not tampering, but
+                // the response is the same fail-closed one: kill the world
+                // and fail the shard's whole queue rather than silently
+                // dropping its ops. `lock_shard` recovers the poisoned lock.
+                self.killed.store(true, Ordering::Release);
+                Err((
+                    first,
+                    ToleoError::IntegrityViolation {
+                        address: addr_of(first),
+                    },
+                ))
+            });
+            if let Err((i, e)) = drained {
+                let slot = if error_is_severe(&e) {
+                    &mut first_severe
+                } else {
+                    &mut first_other
+                };
+                if slot.as_ref().is_none_or(|(fi, _)| i < *fi) {
+                    *slot = Some((i, e));
                 }
             }
         }
-        // No locks held now: finish propagating a worker-detected
+        // No locks held now: finish propagating a drain-detected
         // world-kill to every shard so each is individually inert.
         if self.is_killed() {
             self.trip_kill();
         }
-        match first_severe.or(first_other) {
-            Some((index, error)) => Err(BatchError { index, error }),
-            None => Ok(out),
+        if let Some((index, error)) = first_severe.or(first_other) {
+            return Err(BatchError { index, error });
         }
+        let mut out = vec![fill; len];
+        for (i, value) in done {
+            out[i] = value;
+        }
+        Ok(out)
+    }
+
+    /// Drains one shard's op queue under its lock, handing `exec_chunk`
+    /// (which maps a chunk of op indices through the engine's batched
+    /// entry points and reports a failure as its chunk-local index) one
+    /// [`kill_poll_ops`](Self::kill_poll_ops)-op chunk at a time and
+    /// appending each served op's batch index and payload to `done`.
+    /// Stops at the first failing op, returning its batch index.
+    fn drain_queue<T>(
+        &self,
+        shard: usize,
+        queue: &[usize],
+        access: Access,
+        addr_of: &impl Fn(usize) -> u64,
+        exec_chunk: &mut impl FnMut(&mut ProtectionEngine, &[usize]) -> ChunkResult<T>,
+        done: &mut Vec<(usize, T)>,
+    ) -> std::result::Result<(), (usize, ToleoError)> {
+        let poll_ops = self.kill_poll_ops;
+        let mut engine = self.lock_shard(shard);
+        if self.quarantine.is_quarantined(shard) {
+            // This whole queue is addressed to a frozen shard: refuse it
+            // with the forensic snapshot.
+            let first = queue[0];
+            return Err((
+                first,
+                Self::quarantine_refusal(shard, addr_of(first), &engine),
+            ));
+        }
+        // Quarantine-epoch polling: healthy queues do NOT abort when a
+        // peer is quarantined (that is the whole point of containment) but
+        // they must *observe* it within one poll interval — the lag
+        // telemetry proves the bound.
+        let mut epoch_seen = self.quarantine.epoch();
+        let mut ops_since_poll = 0usize;
+        for chunk in queue.chunks(poll_ops) {
+            // A device-level failure on any shard trips the world-kill
+            // while this queue was draining: abort promptly. Acquire is the
+            // hot half of the flag protocol — on x86 it costs nothing over
+            // Relaxed, and on ARM it avoids the full fence a SeqCst load
+            // would issue every chunk.
+            if self.killed.load(Ordering::Acquire) {
+                return Err((
+                    chunk[0],
+                    ToleoError::IntegrityViolation {
+                        address: addr_of(chunk[0]),
+                    },
+                ));
+            }
+            let epoch_now = self.quarantine.epoch();
+            if epoch_now != epoch_seen {
+                epoch_seen = epoch_now;
+                self.max_poll_lag_ops
+                    .fetch_max(ops_since_poll as u64, Ordering::Relaxed);
+            }
+            // Recovery may have left lost-block markers on this shard: a
+            // read chunk stops at the first lost address (ops before it
+            // are served, exactly as op-at-a-time) and a write chunk clears
+            // the markers it repopulates.
+            let mut chunk = chunk;
+            let mut lost_hit: Option<usize> = None;
+            if matches!(access, Access::Read) {
+                if let Some(pos) = chunk
+                    .iter()
+                    .position(|&i| self.recovery.is_lost(shard, addr_of(i)))
+                {
+                    lost_hit = Some(chunk[pos]);
+                    chunk = &chunk[..pos];
+                }
+            }
+            if !chunk.is_empty() {
+                match exec_chunk(&mut engine, chunk) {
+                    Ok(values) => {
+                        self.ops_served
+                            .fetch_add(chunk.len() as u64, Ordering::Relaxed);
+                        if matches!(access, Access::Write) {
+                            for &i in chunk {
+                                self.recovery.clear_lost(shard, addr_of(i));
+                            }
+                        }
+                        done.extend(chunk.iter().copied().zip(values));
+                        ops_since_poll = chunk.len();
+                    }
+                    Err((local, e)) => {
+                        if engine.is_killed()
+                            && !self.is_killed()
+                            && self.escalate_after_kill(shard, &e)
+                        {
+                            // Only the flag here: trip_kill() locks every
+                            // shard and we hold this one. run_batch
+                            // finishes the kill once the lock is released.
+                            self.killed.store(true, Ordering::Release);
+                        }
+                        return Err((chunk[local], e));
+                    }
+                }
+            }
+            if let Some(index) = lost_hit {
+                return Err((
+                    index,
+                    ToleoError::PageLost {
+                        shard,
+                        address: addr_of(index),
+                    },
+                ));
+            }
+        }
+        // Tail poll: a quarantine landing during the final chunk still gets
+        // its observation lag recorded.
+        if self.quarantine.epoch() != epoch_seen {
+            self.max_poll_lag_ops
+                .fetch_max(ops_since_poll as u64, Ordering::Relaxed);
+        }
+        Ok(())
     }
 
     /// Aggregated engine counters across all shards. Quarantined (and
@@ -904,7 +900,7 @@ impl ShardedEngine {
     }
 
     /// Exclusive access to one shard's engine (tests and tooling; `&mut
-    /// self` proves no worker is running).
+    /// self` proves no other thread is using the handle).
     pub fn shard_engine_mut(&mut self, index: usize) -> &mut ProtectionEngine {
         self.shards[index]
             .get_mut()
@@ -1175,6 +1171,40 @@ mod tests {
         ));
     }
 
+    /// A panic inside a batch drain (here the engine's alignment assert on
+    /// an unaligned address) fails closed: the world-kill engages, the
+    /// panicking shard's queue reports an integrity violation at its first
+    /// op, and nothing unwinds into the caller.
+    #[test]
+    fn panicking_batch_drain_fails_closed() {
+        let e = sharded(4);
+        let err = e.read_batch_indexed(&[0, 4096 + 1]).unwrap_err();
+        assert_eq!(err.index, 1);
+        assert!(matches!(
+            err.error,
+            ToleoError::IntegrityViolation { address: 4097 }
+        ));
+        assert!(e.is_killed());
+        for page in 0..4u64 {
+            assert!(e.read(page * 4096).is_err(), "page {page}");
+        }
+
+        let e = sharded(4);
+        let err = e
+            .write_batch_indexed(&[(0, [1u8; 64]), (4096 + 1, [2u8; 64])])
+            .unwrap_err();
+        assert_eq!(err.index, 1);
+        assert!(matches!(
+            err.error,
+            ToleoError::IntegrityViolation { address: 4097 }
+        ));
+        assert!(e.is_killed());
+        assert!(e.robustness_stats().world_killed);
+        for page in 0..4u64 {
+            assert!(e.write(page * 4096, &[3u8; 64]).is_err(), "page {page}");
+        }
+    }
+
     #[test]
     fn device_full_propagates_without_killing() {
         let mut cfg = ToleoConfig::small();
@@ -1263,13 +1293,17 @@ mod tests {
         let addrs: Vec<u64> = (0..100_000usize)
             .map(|i| victim_writes[i % victim_writes.len()].0)
             .collect();
+        let served_before = e.ops_served.load(Ordering::Relaxed);
         let batch_result = std::thread::scope(|s| {
             let handle = s.spawn(|| e.read_batch(&addrs));
-            // Let the healthy worker get well into its queue, then trip
-            // the quarantine on shard 0 from this thread.
-            std::thread::sleep(std::time::Duration::from_millis(5));
+            // Wait until the batch has served its first chunk, so its
+            // drain of shard 1 is under way, then trip the quarantine on
+            // shard 0 from this thread.
+            while e.ops_served.load(Ordering::Relaxed) == served_before {
+                std::thread::yield_now();
+            }
             assert!(e.read(0).is_err());
-            handle.join().expect("batch worker must not panic")
+            handle.join().expect("batch caller must not panic")
         });
         let blocks = batch_result.expect("healthy shard's batch must complete");
         assert_eq!(blocks.len(), addrs.len());
